@@ -221,6 +221,12 @@ func BenchmarkScalarMul(b *testing.B) {
 			pp.GeneratorMul(k)
 		}
 	})
+	b.Run("ct-fixed-window", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			P.ScalarMulCT(k)
+		}
+	})
 	b.Run("binary-ladder", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -263,6 +269,7 @@ func BenchmarkGTExp(b *testing.B) {
 func BenchmarkHashToPoint(b *testing.B) {
 	pp, _ := pairing.Paper()
 	var ctr [8]byte
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctr[0] = byte(i)

@@ -286,6 +286,11 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"scalarmul.variable-wnaf", func() error { P.ScalarMul(k); return nil }},
 		{"scalarmul.fixed-base", func() error { pp.GeneratorMul(k); return nil }},
 		{"scalarmul.binary-ladder", func() error { P.ScalarMulBinary(k); return nil }},
+		{"scalarmul.ct-fixed-window", func() error { P.ScalarMulCT(k); return nil }},
+		{"hash-to-point", func() error {
+			_, err := cv.HashToPoint("GDH-SIG-H", []byte("hash-to-point"))
+			return err
+		}},
 		{"gtexp.square-multiply", func() error { _, err := g.Exp(k); return err }},
 		{"gtexp.fixed-base", func() error { gtTab.Exp(k); return nil }},
 		{"bf.encrypt", func() error { _, err := pub.Encrypt(rand.Reader, id, msg); return err }},

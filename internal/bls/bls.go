@@ -87,7 +87,7 @@ func (k *PrivateKey) Sign(msg []byte) (*curve.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.ScalarMul(k.X), nil
+	return h.ScalarMulCT(k.X), nil
 }
 
 // Verify checks that (P, R, h(M), S) is a Diffie-Hellman tuple:
@@ -95,15 +95,22 @@ func (k *PrivateKey) Sign(msg []byte) (*curve.Point, error) {
 // ê(P, S)·ê(−R, h(M)) = 1 so one shared Miller loop and one final
 // exponentiation replace two full pairings.
 func (pk *PublicKey) Verify(msg []byte, sig *curve.Point) error {
+	h, err := HashMessage(pk.Pairing, msg)
+	if err != nil {
+		return err
+	}
+	return pk.VerifyHash(h, sig)
+}
+
+// VerifyHash is Verify for an already-hashed message h = h(M): a caller
+// that hashed M itself (the mediated signer checking its own combined
+// signature) skips the second hash-to-point.
+func (pk *PublicKey) VerifyHash(h, sig *curve.Point) error {
 	if sig == nil || sig.IsInfinity() {
 		return ErrInvalidSignature
 	}
 	if !sig.InSubgroup() {
 		return fmt.Errorf("%w: signature outside G1", ErrInvalidSignature)
-	}
-	h, err := HashMessage(pk.Pairing, msg)
-	if err != nil {
-		return err
 	}
 	prod, err := pk.Pairing.MultiPair(
 		[]*curve.Point{pk.Pairing.Generator(), pk.R.Neg()},
@@ -272,7 +279,7 @@ func SignShare(pp *pairing.Params, share shamir.Share, msg []byte) (shamir.Point
 	if err != nil {
 		return shamir.PointShare{}, err
 	}
-	return shamir.PointShare{Index: share.Index, Value: h.ScalarMul(share.Value)}, nil
+	return shamir.PointShare{Index: share.Index, Value: h.ScalarMulCT(share.Value)}, nil
 }
 
 // VerifyShare checks a partial signature against the player's verification

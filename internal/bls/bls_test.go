@@ -35,6 +35,29 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyHashMatchesVerify checks that verifying against a caller-held
+// hash agrees with Verify, which hashes the message itself.
+func TestVerifyHashMatchesVerify(t *testing.T) {
+	pp := toyParams(t)
+	key, _ := GenerateKey(rand.Reader, pp)
+	msg := []byte("hashed once")
+	sig, _ := key.Sign(msg)
+	h, err := HashMessage(pp, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := key.Public.VerifyHash(h, sig); err != nil {
+		t.Fatalf("VerifyHash rejected a valid signature: %v", err)
+	}
+	other, _ := HashMessage(pp, []byte("another message"))
+	if err := key.Public.VerifyHash(other, sig); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("VerifyHash accepted the wrong hash: %v", err)
+	}
+	if err := key.Public.VerifyHash(h, pp.Curve().Infinity()); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("VerifyHash accepted the identity: %v", err)
+	}
+}
+
 func TestVerifyRejectsWrongMessage(t *testing.T) {
 	pp := toyParams(t)
 	key, _ := GenerateKey(rand.Reader, pp)

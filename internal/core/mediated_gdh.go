@@ -89,7 +89,9 @@ func (s *GDHSEM) Registry() *Registry { return s.reg }
 
 // HalfSign is the SEM's protocol step: check revocation, then return
 // S_sem = x_sem·h, where h is the (already hashed) message point the user
-// sent. The SEM never sees the user's half-signature.
+// sent. The SEM never sees the user's half-signature. The multiplication
+// by the long-term secret x_sem runs on the constant-time ladder: h is
+// attacker-chosen and the request is online.
 func (s *GDHSEM) HalfSign(id string, h *curve.Point) (*curve.Point, error) {
 	if err := s.reg.Check(id); err != nil {
 		return nil, err
@@ -101,26 +103,35 @@ func (s *GDHSEM) HalfSign(id string, h *curve.Point) (*curve.Point, error) {
 	if h == nil || h.IsInfinity() || !h.InSubgroup() {
 		return nil, fmt.Errorf("core: message hash is not a valid G1 element")
 	}
-	return h.ScalarMul(half.X), nil
+	return h.ScalarMulCT(half.X), nil
 }
 
-// UserSign completes the user's protocol steps: compute S_user = x_user·h(M),
-// add the SEM half, and verify the combined signature before returning it
-// (the paper's step 3: "He verifies that S_M is a valid signature on M").
+// UserSign completes the user's protocol steps for message msg; it hashes
+// msg and runs UserSignHash. Callers that already hold h(M) — they sent it
+// to the SEM — call UserSignHash directly and skip the second hash.
 func UserSign(key *GDHUserKey, msg []byte, semHalf *curve.Point) (*curve.Point, error) {
 	h, err := bls.HashMessage(key.Public.Pairing, msg)
 	if err != nil {
 		return nil, err
 	}
-	sig := semHalf.Add(h.ScalarMul(key.X))
-	if err := key.Public.Verify(msg, sig); err != nil {
+	return UserSignHash(key, h, semHalf)
+}
+
+// UserSignHash completes the user's protocol steps given the message hash
+// h = h(M) the user sent to the SEM: compute S_user = x_user·h on the
+// constant-time ladder, add the SEM half, and verify the combined
+// signature against h before returning it (the paper's step 3: "He
+// verifies that S_M is a valid signature on M").
+func UserSignHash(key *GDHUserKey, h, semHalf *curve.Point) (*curve.Point, error) {
+	sig := semHalf.Add(h.ScalarMulCT(key.X))
+	if err := key.Public.VerifyHash(h, sig); err != nil {
 		return nil, fmt.Errorf("combined mediated signature invalid: %w", err)
 	}
 	return sig, nil
 }
 
-// Sign runs the full two-party signing protocol in-process; the networked
-// flow lives in internal/sem.
+// Sign runs the full two-party signing protocol in-process, hashing the
+// message once; the networked flow lives in internal/sem.
 func Sign(sem *GDHSEM, key *GDHUserKey, msg []byte) (*curve.Point, error) {
 	h, err := bls.HashMessage(key.Public.Pairing, msg)
 	if err != nil {
@@ -130,7 +141,7 @@ func Sign(sem *GDHSEM, key *GDHUserKey, msg []byte) (*curve.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	return UserSign(key, msg, semHalf)
+	return UserSignHash(key, h, semHalf)
 }
 
 // RecombineGDHKey reassembles the full signing scalar from both halves —

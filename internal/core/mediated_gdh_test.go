@@ -105,6 +105,45 @@ func TestGDHUserDetectsBadSEMHalf(t *testing.T) {
 	if _, err := UserSign(key, msg, good.Double()); err == nil {
 		t.Fatal("corrupted SEM half produced an accepted signature")
 	}
+	if _, err := UserSignHash(key, h, good.Double()); err == nil {
+		t.Fatal("corrupted SEM half produced an accepted signature from the hash")
+	}
+	// A half-signature on a different message fails the check against h.
+	other, _ := bls.HashMessage(key.Public.Pairing, []byte("other"))
+	wrong, err := sem.HalfSign("signer@example.com", other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UserSignHash(key, h, wrong); err == nil {
+		t.Fatal("SEM half for another message produced an accepted signature")
+	}
+}
+
+// TestUserSignHashMatchesUserSign checks that completing from the hash the
+// user sent to the SEM yields the same signature as rehashing the message.
+func TestUserSignHashMatchesUserSign(t *testing.T) {
+	ta, sem := gdhFixture(t)
+	key := gdhEnroll(t, ta, sem, "signer@example.com")
+	msg := []byte("hash once")
+	h, _ := bls.HashMessage(key.Public.Pairing, msg)
+	half, err := sem.HalfSign("signer@example.com", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromHash, err := UserSignHash(key, h, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromMsg, err := UserSign(key, msg, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fromHash.Equal(fromMsg) {
+		t.Fatal("UserSignHash and UserSign disagree")
+	}
+	if err := key.Public.Verify(msg, fromHash); err != nil {
+		t.Fatalf("independent verifier rejected the signature: %v", err)
+	}
 }
 
 func TestGDHHalfSignValidatesInput(t *testing.T) {

@@ -125,6 +125,12 @@ type IBESEM struct {
 	reg     *Registry
 	keys    *keyStore[*SEMKeyHalf]
 	pairers *lru.Cache[string, *semPairer]
+
+	// building holds one channel per identity whose program is being built,
+	// closed when the build lands in pairers: concurrent first requests for
+	// an identity wait for one build instead of each running their own.
+	buildMu  sync.Mutex
+	building map[string]chan struct{}
 }
 
 // semPairer binds a precomputed pairing program to the exact key half it
@@ -148,10 +154,11 @@ const semPairerCapacity = 256
 // so both transitions must invalidate derived state.
 func NewIBESEM(pub *bf.PublicParams, reg *Registry) *IBESEM {
 	s := &IBESEM{
-		pub:     pub,
-		reg:     reg,
-		keys:    newKeyStore[*SEMKeyHalf](),
-		pairers: lru.New[string, *semPairer](semPairerCapacity),
+		pub:      pub,
+		reg:      reg,
+		keys:     newKeyStore[*SEMKeyHalf](),
+		pairers:  lru.New[string, *semPairer](semPairerCapacity),
+		building: make(map[string]chan struct{}),
 	}
 	reg.OnRevoke(func(id string) { s.pairers.Remove(id) })
 	reg.OnUnrevoke(func(id string) { s.pairers.Remove(id) })
@@ -210,16 +217,47 @@ func (s *IBESEM) Token(id string, u *curve.Point) (*pairing.GT, error) {
 	// *served* for a revoked identity — the Check above runs on every call —
 	// and the entry is keyed to this exact half, so it is correct again if
 	// the identity is unrevoked.
-	if cached, ok := s.pairers.Get(id); ok && cached.d.Equal(half.D) {
-		return cached.fp.Pair(u)
-	}
-	fp, err := s.pub.Pairing.NewFixedPair(half.D)
+	fp, err := s.pairer(id, half)
 	if err != nil {
 		// Degenerate registered half; fall back to the generic pairing.
 		return s.pub.Pairing.Pair(u, half.D)
 	}
-	s.pairers.Add(id, &semPairer{d: half.D, fp: fp})
 	return fp.Pair(u)
+}
+
+// pairer returns the cached Miller program for the registered half,
+// building it on a miss. Concurrent misses on one identity share a single
+// build: later callers wait for it and then read the cache.
+func (s *IBESEM) pairer(id string, half *SEMKeyHalf) (*pairing.FixedPair, error) {
+	for {
+		if cached, ok := s.pairers.Get(id); ok && cached.d.Equal(half.D) {
+			return cached.fp, nil
+		}
+		s.buildMu.Lock()
+		if wait, ok := s.building[id]; ok {
+			s.buildMu.Unlock()
+			<-wait
+			continue
+		}
+		// A build may have landed between the miss above and the lock.
+		if cached, ok := s.pairers.Get(id); ok && cached.d.Equal(half.D) {
+			s.buildMu.Unlock()
+			return cached.fp, nil
+		}
+		done := make(chan struct{})
+		s.building[id] = done
+		s.buildMu.Unlock()
+
+		fp, err := s.pub.Pairing.NewFixedPair(half.D)
+		if err == nil {
+			s.pairers.Add(id, &semPairer{d: half.D, fp: fp})
+		}
+		s.buildMu.Lock()
+		delete(s.building, id)
+		s.buildMu.Unlock()
+		close(done)
+		return fp, err
+	}
 }
 
 // UserDecrypt completes decryption on the user side given the SEM token:

@@ -11,15 +11,15 @@
 // divisor of p + 1 chosen at parameter-generation time (see package pairing).
 //
 // The public Point API is affine and immutable (auditable, and the
-// denominator-tracking Miller oracle needs affine line slopes), but the hot
-// paths run on a Jacobian-coordinate layer underneath: ScalarMul uses
-// width-w NAF recoding over Jacobian doublings and mixed additions with a
-// single final normalization, and long-lived bases (the G1 generator,
-// public keys) get radix-2^w fixed-base tables via Precomputed. The affine
-// double-and-add ladder survives as ScalarMulBinary, the differential-test
-// oracle and ablation baseline.
-//
-//cryptolint:vartime (big.Int affine/Jacobian backend; constant-time execution is the fp limb backend's contract)
+// denominator-tracking Miller oracle needs affine line slopes). Every
+// group operation beyond a single chord-and-tangent step runs on one
+// arithmetic layer underneath: Jacobian coordinates over internal/fp
+// Montgomery limb vectors (limb.go). On it sit the w-NAF ScalarMul, the
+// fixed-base comb Precomputed, hash-to-point's cofactor clearing, the
+// subgroup check, the Pippenger MSM and ScalarMulCT, the constant-time
+// fixed-window ladder for secret scalars. Outputs are normalized back to
+// canonical affine coordinates, bit-identical to the affine double-and-add
+// ladder ScalarMulBinary, which survives as the differential-test oracle.
 package curve
 
 import (
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/fp"
@@ -54,22 +53,18 @@ type Curve struct {
 	q *big.Int //cryptolint:public (curve parameters)
 	c *big.Int //cryptolint:public (curve parameters)
 
-	// limb caches the lazily built internal/fp backend and the constants
-	// the limb kernels derive from the (immutable) parameters; see limb.go.
-	//
-	//cryptolint:public (derived from public curve parameters)
-	limb struct {
-		once    sync.Once
-		F       *fp.Field
-		sqrtExp *big.Int // (p+1)/4, the p ≡ 3 (mod 4) square-root exponent
-		qW      uint     // w-NAF width used for the subgroup ladder
-		qNAF    []int8   // w-NAF digits of q, least significant first
-		err     error    // fp.New failure: all limb paths fall back to big.Int
-	}
+	// field is the limb field every group operation runs on; the rest are the
+	// constants the limb kernels derive from the parameters once, in New.
+	field   *fp.Field //cryptolint:public (the field of the public prime p)
+	sqrtExp *big.Int  //cryptolint:public ((p+1)/4, the p ≡ 3 (mod 4) square-root exponent)
+	qW, cW  uint      // w-NAF widths of the q and c recodings
+	qNAF    []int8    //cryptolint:public (w-NAF digits of q, least significant first)
+	cNAF    []int8    //cryptolint:public (w-NAF digits of the cofactor)
 }
 
-// New constructs the curve. It validates that p ≡ 3 (mod 4) and that
-// q·c = p + 1 with q prime (probabilistically).
+// New constructs the curve. It validates that p ≡ 3 (mod 4), that
+// q·c = p + 1 with q prime (probabilistically), and that the limb backend
+// can host p (at most fp.MaxLimbs words).
 func New(p, q *big.Int) (*Curve, error) {
 	if p.Bit(0) != 1 || p.Bit(1) != 1 {
 		return nil, fmt.Errorf("curve: p must be ≡ 3 (mod 4)")
@@ -82,10 +77,21 @@ func New(p, q *big.Int) (*Curve, error) {
 	if !q.ProbablyPrime(20) {
 		return nil, fmt.Errorf("curve: subgroup order q is not prime")
 	}
+	F, err := fp.New(p)
+	if err != nil {
+		return nil, fmt.Errorf("curve: %w", err)
+	}
+	qW, cW := wnafWidth(q.BitLen()), wnafWidth(c.BitLen())
 	return &Curve{
-		p: new(big.Int).Set(p),
-		q: new(big.Int).Set(q),
-		c: c,
+		p:       new(big.Int).Set(p),
+		q:       new(big.Int).Set(q),
+		c:       c,
+		field:   F,
+		sqrtExp: new(big.Int).Rsh(pPlus1, 2),
+		qW:      qW,
+		cW:      cW,
+		qNAF:    wnaf(q, qW),
+		cNAF:    wnaf(c, cW),
 	}, nil
 }
 
@@ -165,6 +171,8 @@ func (pt *Point) Y() *big.Int {
 func (pt *Point) Curve() *Curve { return pt.curve }
 
 // Equal reports whether two points are the same group element.
+//
+//cryptolint:vartime (early-exit big.Int comparison; no caller compares a secret point with attacker-chosen input)
 func (pt *Point) Equal(other *Point) bool {
 	if pt.inf || other.inf {
 		return pt.inf == other.inf
@@ -173,6 +181,8 @@ func (pt *Point) Equal(other *Point) bool {
 }
 
 // Neg returns −P.
+//
+//cryptolint:vartime (affine big.Int negation of public points)
 func (pt *Point) Neg() *Point {
 	if pt.inf {
 		return pt
@@ -186,6 +196,8 @@ func (pt *Point) Neg() *Point {
 }
 
 // Add returns P + Q using the affine chord-and-tangent rules.
+//
+//cryptolint:vartime (affine big.Int group law; online callers add points whose sum is published, e.g. the two halves of a released signature)
 func (pt *Point) Add(other *Point) *Point {
 	c := pt.curve
 	if pt.inf {
@@ -208,10 +220,16 @@ func (pt *Point) Add(other *Point) *Point {
 	den.ModInverse(den, c.p)
 	lambda := num.Mul(num, den)
 	lambda.Mod(lambda, c.p)
-	return c.chord(pt, other, lambda)
+	out := c.chord(pt, other, lambda)
+	if pt.g1.Load() == 1 && other.g1.Load() == 1 {
+		out.g1.Store(1) // G1 is closed under addition
+	}
+	return out
 }
 
 // Double returns 2P.
+//
+//cryptolint:vartime (affine big.Int group law on public points)
 func (pt *Point) Double() *Point {
 	c := pt.curve
 	if pt.inf {
@@ -229,10 +247,22 @@ func (pt *Point) Double() *Point {
 	den.ModInverse(den, c.p)
 	lambda := num.Mul(num, den)
 	lambda.Mod(lambda, c.p)
-	return c.chord(pt, pt, lambda)
+	return pt.multiple(c.chord(pt, pt, lambda))
+}
+
+// multiple returns out, a multiple of pt, carrying over a known G1
+// verdict: every multiple of a G1 element is in G1. (A verdict of
+// "outside" does not carry over — a multiple may fall inside.)
+func (pt *Point) multiple(out *Point) *Point {
+	if pt.g1.Load() == 1 && !out.inf {
+		out.g1.Store(1)
+	}
+	return out
 }
 
 // chord completes an addition given the line slope λ through p1 and p2.
+//
+//cryptolint:vartime (the affine group law behind Add and Double)
 func (c *Curve) chord(p1, p2 *Point, lambda *big.Int) *Point {
 	x3 := new(big.Int).Mul(lambda, lambda)
 	x3.Sub(x3, p1.x)
@@ -246,9 +276,9 @@ func (c *Curve) chord(p1, p2 *Point, lambda *big.Int) *Point {
 }
 
 // InSubgroup reports whether the point lies in the prime-order subgroup G1,
-// i.e. q·P = O. The verdict is computed with the limb-backend ladder of
-// subgroup.go (no final inversion, shared q recoding) and memoized on the
-// point, so re-validating a long-lived element is a single atomic load.
+// i.e. q·P = O. The verdict is computed with the ladder of subgroup.go (no
+// final inversion, shared q recoding) and memoized on the point, so
+// re-validating a long-lived element is a single atomic load.
 func (pt *Point) InSubgroup() bool {
 	if pt.inf {
 		return true // O is in every subgroup
@@ -256,10 +286,7 @@ func (pt *Point) InSubgroup() bool {
 	if s := pt.g1.Load(); s != 0 {
 		return s == 1
 	}
-	in, ok := pt.curve.inSubgroupLimb(pt)
-	if !ok {
-		in = pt.ScalarMul(pt.curve.q).IsInfinity()
-	}
+	in := pt.curve.inSubgroup(pt)
 	if in {
 		pt.g1.Store(1)
 	} else {
@@ -295,22 +322,9 @@ func (c *Curve) RandomPoint(rng io.Reader) (*Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		rhs := new(big.Int).Mul(x, x)
-		rhs.Mul(rhs, x)
-		rhs.Add(rhs, x)
-		rhs.Mod(rhs, c.p)
-		y, err := c.sqrtMod(rhs)
-		if err != nil {
-			continue
+		if y, ok := c.liftX(x); ok {
+			return &Point{curve: c, x: x, y: y}, nil
 		}
-		pt, err := c.NewPoint(x, y)
-		if err != nil {
-			continue
-		}
-		if pt.IsInfinity() {
-			continue
-		}
-		return pt, nil
 	}
 }
 
@@ -322,9 +336,7 @@ func (c *Curve) RandomG1(rng io.Reader) (*Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := pt.ScalarMul(c.c)
-		if !g.IsInfinity() {
-			g.g1.Store(1) // cofactor-cleared by construction
+		if g := c.clearCofactor(pt); !g.IsInfinity() {
 			return g, nil
 		}
 	}
@@ -336,11 +348,16 @@ func (c *Curve) RandomG1(rng io.Reader) (*Point, error) {
 // H1 oracle of the Boneh-Franklin scheme and the h(·) oracle of the GDH
 // signature.
 func (c *Curve) HashToPoint(domain string, msg []byte) (*Point, error) {
-	pt, err := c.HashToPointUncleared(domain, msg)
-	if err != nil {
+	F := c.field
+	a := newLimbArena(F, 7+arenaScratchElts+wnafArenaElts)
+	x, y := a.elt(), a.elt()
+	if _, err := c.hashTry(domain, msg, x, y, a.elt(), a.elt()); err != nil {
 		return nil, err
 	}
-	out := pt.ScalarMul(c.c)
+	acc := a.jac()
+	c.wnafMul(&a, &acc, x, y, c.cNAF, c.cW)
+	s := a.scratch()
+	out := c.ljToPoint(&acc, &s)
 	if !out.inf {
 		out.g1.Store(1) // cofactor-cleared by construction
 	}
@@ -360,30 +377,38 @@ func (c *Curve) HashToPoint(domain string, msg []byte) (*Point, error) {
 // skip. HashToPoint inherits the same behaviour: its output is the identity
 // with that probability, which no caller can observe.
 func (c *Curve) HashToPointUncleared(domain string, msg []byte) (*Point, error) {
+	a := newLimbArena(c.field, 4)
+	y := a.elt()
+	x, err := c.hashTry(domain, msg, a.elt(), y, a.elt(), a.elt())
+	if err != nil {
+		return nil, err
+	}
+	return &Point{curve: c, x: x, y: c.field.ToBig(y)}, nil
+}
+
+// hashTry runs the try-and-increment search: for ctr = 0, 1, … it expands
+// (domain, ctr, msg) into a candidate x (|p| + 64 bits reduced mod p, so
+// the bias is negligible) until x³ + x is a square, then takes the
+// principal root y, negated when the digest's next byte is odd so the map
+// does not favour the "small" root. It leaves the Montgomery-form point in
+// (xm, ym) and returns the canonical x; t and chk are scratch.
+func (c *Curve) hashTry(domain string, msg []byte, xm, ym, t, chk []uint64) (*big.Int, error) {
+	F := c.field
 	size := c.CoordinateSize()
+	x := new(big.Int)
 	for ctr := 0; ctr < 256; ctr++ {
 		digest := expandDigest(domain, uint8(ctr), msg, size+16)
-		x := new(big.Int).SetBytes(digest[:size+8])
+		x.SetBytes(digest[:size+8])
 		x.Mod(x, c.p)
-		rhs := new(big.Int).Mul(x, x)
-		rhs.Mul(rhs, x)
-		rhs.Add(rhs, x)
-		rhs.Mod(rhs, c.p)
-		y, err := c.sqrtMod(rhs)
-		if err != nil {
+		_ = F.FromBig(xm, x) // reduced above: cannot fail
+		curveRHS(F, t, xm)
+		if !c.sqrt(ym, t, chk) {
 			continue
 		}
-		// Use one post-coordinate digest byte to pick the root's sign so the
-		// map does not systematically favour the "small" root.
 		if digest[size+8]&1 == 1 {
-			y.Neg(y)
-			y.Mod(y, c.p)
+			F.Neg(ym, ym)
 		}
-		pt, err := c.NewPoint(x, y)
-		if err != nil {
-			continue
-		}
-		return pt, nil
+		return x, nil
 	}
 	return nil, ErrHashToPointFailed
 }
@@ -413,6 +438,8 @@ func expandDigest(domain string, ctr uint8, msg []byte, n int) []byte {
 // 2 or 3 for the parity of y) followed by the fixed-width x-coordinate.
 // This is the "point compression" the paper invokes when comparing key
 // sizes with IB-mRSA.
+//
+//cryptolint:vartime (serialization edge: the encoding is the published form of the point)
 func (pt *Point) Marshal() []byte {
 	size := pt.curve.CoordinateSize()
 	out := make([]byte, 1+size)
@@ -426,6 +453,8 @@ func (pt *Point) Marshal() []byte {
 
 // Unmarshal parses a compressed point produced by Marshal, recomputing y
 // from the curve equation and the parity bit.
+//
+//cryptolint:vartime (decode edge: big.Int range and parity checks on the encoding; the square root itself runs on fp)
 func (c *Curve) Unmarshal(data []byte) (*Point, error) {
 	size := c.CoordinateSize()
 	if len(data) != 1+size {
@@ -444,19 +473,14 @@ func (c *Curve) Unmarshal(data []byte) (*Point, error) {
 		if x.Cmp(c.p) >= 0 {
 			return nil, fmt.Errorf("curve: x-coordinate out of range")
 		}
-		rhs := new(big.Int).Mul(x, x)
-		rhs.Mul(rhs, x)
-		rhs.Add(rhs, x)
-		rhs.Mod(rhs, c.p)
-		y, err := c.sqrtMod(rhs)
-		if err != nil {
+		y, ok := c.liftX(x)
+		if !ok {
 			return nil, ErrNotOnCurve
 		}
-		if y.Bit(0) != uint(data[0]-2) {
-			y.Neg(y)
-			y.Mod(y, c.p)
+		if y.Bit(0) != uint(data[0]-2) && y.Sign() != 0 {
+			y.Sub(c.p, y)
 		}
-		return c.NewPoint(x, y)
+		return &Point{curve: c, x: x, y: y}, nil
 	default:
 		return nil, fmt.Errorf("curve: unknown compression tag 0x%02x", data[0]) //cryptolint:public (the format tag byte, not coordinate material)
 	}

@@ -16,7 +16,7 @@ const (
 	toyQHex = "fd51d491"
 )
 
-func toyCurve(t *testing.T) *Curve {
+func toyCurve(t testing.TB) *Curve {
 	t.Helper()
 	p, _ := new(big.Int).SetString(toyPHex, 16)
 	q, _ := new(big.Int).SetString(toyQHex, 16)
@@ -40,6 +40,13 @@ func TestNewValidation(t *testing.T) {
 	bad := new(big.Int).Mul(q, big.NewInt(3)) // divides p+1? almost surely not, but composite anyway
 	if _, err := New(p, bad); err == nil {
 		t.Error("composite q must be rejected")
+	}
+	// p = 12·2^1090 − 1 ≡ 3 (mod 4) with 3 | p+1 passes every other check
+	// but exceeds the limb backend's fp.MaxLimbs words.
+	wide := new(big.Int).Lsh(big.NewInt(12), 1090)
+	wide.Sub(wide, big.NewInt(1))
+	if _, err := New(wide, big.NewInt(3)); err == nil {
+		t.Error("a prime wider than the limb backend must be rejected")
 	}
 }
 

@@ -1,81 +1,112 @@
-// Limb-domain Jacobian arithmetic: the internal/fp-backed layer under the
-// batch kernels (MSM, the cached subgroup check, square roots for decoding
-// and hashing).
+// Limb-domain Jacobian arithmetic: the only group-arithmetic layer of the
+// package. Every scalar multiplication (w-NAF, fixed-base comb, the
+// constant-time ladder), the cofactor clearing of hash-to-point, the
+// subgroup check and the MSM kernel run here, on internal/fp Montgomery
+// limb vectors; math/big appears only where a value enters or leaves the
+// field (Point coordinates, scalars, hash digests).
 //
-// The big.Int Jacobian layer in jacobian.go pays a modular reduction
-// allocation on every multiplication; at the paper's 512-bit prime one
-// big.Int field multiplication costs ~1µs against ~180ns for the Montgomery
-// limb multiplication in internal/fp. Kernels that perform thousands of
-// field operations per call (Pippenger bucket accumulation, the q·P
-// subgroup ladder) therefore run here, on the same formulas as jacobian.go
-// — identical group elements in, identical affine coordinates out, so the
-// two layers are interchangeable and differential-testable against each
-// other.
+// A Jacobian triple (X, Y, Z) with Z ≠ 0 denotes the affine point
+// (X/Z², Y/Z³); Z = 0 denotes the point at infinity. The formulas are the
+// standard ones for short Weierstrass curves with a = 1 (M = 3X² + Z⁴):
 //
-// The fp.Field for the curve prime is constructed lazily on first use and
-// cached on the Curve (curves are immutable and shared); if construction
-// fails (p beyond fp.MaxLimbs) every caller falls back to the big.Int path,
-// so the limb layer is a pure accelerator, never a requirement.
+//	doubling:   S = 4XY², M = 3X² + Z⁴,
+//	            X' = M² − 2S, Y' = M(S − X') − 8Y⁴, Z' = 2YZ
+//	mixed add:  U2 = x·Z², S2 = y·Z³, H = U2 − X, R = S2 − Y,
+//	            X' = R² − H³ − 2XH², Y' = R(XH² − X') − YH³, Z' = ZH
+//
+// Results are normalized back to the immutable affine Point with one
+// inversion; batches (precomputation tables, MSM buckets) share a single
+// inversion through Montgomery's simultaneous-inversion trick. Equal group
+// elements have equal canonical affine coordinates, so every path here is
+// bit-identical to the affine double-and-add oracle ScalarMulBinary.
+//
+// The fp.Field for the curve prime is built once by New, which refuses any
+// prime the limb backend cannot host (beyond fp.MaxLimbs); there is no
+// fallback layer.
 package curve
 
 import (
 	"math/big"
 
 	"repro/internal/fp"
-	"repro/internal/mathx"
 )
 
-// limbField returns the cached fp.Field for the curve prime, constructing
-// it (plus the derived constants the limb kernels share) on first use.
-// The second result reports availability; callers must fall back to the
-// big.Int layer when it is false.
-func (c *Curve) limbField() (*fp.Field, bool) {
-	c.limb.once.Do(func() {
-		F, err := fp.New(c.p)
-		if err != nil {
-			c.limb.err = err
-			return
-		}
-		c.limb.F = F
-		// (p+1)/4: the square-root exponent for p ≡ 3 (mod 4), guaranteed
-		// by New's validation.
-		e := new(big.Int).Add(c.p, big.NewInt(1))
-		c.limb.sqrtExp = e.Rsh(e, 2)
-		// w-NAF digits of the fixed subgroup order q, shared by every
-		// subgroup check on this curve.
-		c.limb.qW = wnafWidth(c.q.BitLen())
-		c.limb.qNAF = wnaf(c.q, c.limb.qW)
-	})
-	return c.limb.F, c.limb.err == nil
+// limbArena hands out field elements carved from one backing array, so a
+// kernel pays a single allocation for all of its temporaries.
+type limbArena struct {
+	buf []uint64
+	n   int
 }
 
-// sqrtMod computes a square root of the canonical residue a (0 ≤ a < p)
-// modulo the curve prime, returning the principal root a^((p+1)/4) exactly
-// as mathx.SqrtModP does for p ≡ 3 (mod 4) — decoders and hash-to-point
-// depend on the two paths being bit-identical. Non-residues yield
-// mathx.ErrNoSquareRoot.
-func (c *Curve) sqrtMod(a *big.Int) (*big.Int, error) {
-	F, ok := c.limbField()
-	if !ok {
-		return mathx.SqrtModP(a, c.p)
+func newLimbArena(F *fp.Field, elts int) limbArena {
+	n := F.Limbs()
+	return limbArena{buf: make([]uint64, elts*n), n: n}
+}
+
+// elt returns the next zero field element of the arena.
+func (a *limbArena) elt() []uint64 {
+	e := a.buf[:a.n:a.n]
+	a.buf = a.buf[a.n:]
+	return e
+}
+
+// jac returns a fresh identity (Z = 0) Jacobian point.
+func (a *limbArena) jac() limbJac {
+	return limbJac{x: a.elt(), y: a.elt(), z: a.elt()}
+}
+
+// scratch returns the temporaries for one chain of Jacobian operations.
+func (a *limbArena) scratch() ljScratch {
+	return ljScratch{
+		t1: a.elt(), t2: a.elt(), t3: a.elt(), t4: a.elt(),
+		t5: a.elt(), t6: a.elt(), t7: a.elt(), t8: a.elt(),
 	}
-	if a.Sign() == 0 {
-		return new(big.Int), nil
-	}
-	m := F.NewElt()
-	if err := F.FromBig(m, a); err != nil {
-		return mathx.SqrtModP(a, c.p) // unreduced input: defensive fallback
-	}
-	r := F.NewElt()
-	F.Exp(r, m, c.limb.sqrtExp)
-	// For p ≡ 3 (mod 4), a is a residue iff (a^((p+1)/4))² = a; this check
-	// replaces the Jacobi-symbol pretest of the big.Int path.
-	chk := F.NewElt()
+}
+
+// arenaScratchElts is the element count of one ljScratch.
+const arenaScratchElts = 8
+
+// sqrt sets r to the principal square root a^((p+1)/4) of a (the root
+// mathx.SqrtModP returns for p ≡ 3 mod 4) and reports whether a is a
+// square; for p ≡ 3 (mod 4), a is a residue iff (a^((p+1)/4))² = a. chk is
+// scratch.
+func (c *Curve) sqrt(r, a, chk []uint64) bool {
+	F := c.field
+	F.Exp(r, a, c.sqrtExp)
 	F.Square(chk, r)
-	if !F.Equal(chk, m) {
-		return nil, mathx.ErrNoSquareRoot
+	return F.Equal(chk, a)
+}
+
+// curveRHS sets z = x³ + x.
+func curveRHS(F *fp.Field, z, x []uint64) {
+	F.Square(z, x)
+	F.Mul(z, z, x)
+	F.Add(z, z, x)
+}
+
+// liftX returns the principal root y of y² = x³ + x for a canonical
+// x ∈ [0, p), or false when x is not the abscissa of a curve point.
+func (c *Curve) liftX(x *big.Int) (*big.Int, bool) {
+	F := c.field
+	a := newLimbArena(F, 4)
+	xm, rhs, y, chk := a.elt(), a.elt(), a.elt(), a.elt()
+	if err := F.FromBig(xm, x); err != nil {
+		return nil, false
 	}
-	return F.ToBig(r), nil
+	curveRHS(F, rhs, xm)
+	if !c.sqrt(y, rhs, chk) {
+		return nil, false
+	}
+	return F.ToBig(y), true
+}
+
+// loadAffine converts the affine coordinates of a non-identity point into
+// Montgomery form.
+func (c *Curve) loadAffine(pt *Point, x, y []uint64) {
+	// Point coordinates are canonical (< p) by construction, so FromBig's
+	// range check cannot fail.
+	_ = c.field.FromBig(x, pt.x)
+	_ = c.field.FromBig(y, pt.y)
 }
 
 // limbJac is a mutable Jacobian point over fp limb vectors in Montgomery
@@ -85,7 +116,8 @@ type limbJac struct {
 }
 
 func newLimbJac(F *fp.Field) limbJac {
-	return limbJac{x: F.NewElt(), y: F.NewElt(), z: F.NewElt()} // Z = 0: identity
+	a := newLimbArena(F, 3)
+	return a.jac() // Z = 0: identity
 }
 
 // setAffine loads the Montgomery-form affine point (ax, ay) with Z = 1.
@@ -97,6 +129,15 @@ func (v *limbJac) setAffine(F *fp.Field, ax, ay []uint64) {
 	F.SetOne(v.z)
 }
 
+// set copies u into v.
+//
+//cryptolint:hotpath
+func (v *limbJac) set(F *fp.Field, u *limbJac) {
+	F.Set(v.x, u.x)
+	F.Set(v.y, u.y)
+	F.Set(v.z, u.z)
+}
+
 // ljScratch holds the temporaries for a chain of limb Jacobian operations;
 // one instance per goroutine, reused across every step.
 type ljScratch struct {
@@ -104,20 +145,18 @@ type ljScratch struct {
 }
 
 func newLjScratch(F *fp.Field) *ljScratch {
-	return &ljScratch{
-		t1: F.NewElt(), t2: F.NewElt(), t3: F.NewElt(), t4: F.NewElt(),
-		t5: F.NewElt(), t6: F.NewElt(), t7: F.NewElt(), t8: F.NewElt(),
-	}
+	a := newLimbArena(F, arenaScratchElts)
+	s := a.scratch()
+	return &s
 }
 
-// ljDouble sets v = 2v in place — the limb transcription of jacDouble
-// (a = 1: M = 3X² + Z⁴). The 2-torsion case degenerates to Z' = 2YZ = 0.
+// ljDouble sets v = 2v in place (a = 1: M = 3X² + Z⁴). It is branch-free:
+// the identity (Z = 0) and 2-torsion (Y = 0) cases fall out of the
+// formulas as Z' = 2YZ = 0, which is what lets the constant-time ladder
+// share it.
 //
 //cryptolint:hotpath
 func ljDouble(F *fp.Field, v *limbJac, s *ljScratch) {
-	if F.IsZero(v.z) {
-		return
-	}
 	xx := s.t1
 	F.Square(xx, v.x)
 	yy := s.t2
@@ -158,38 +197,32 @@ func ljDouble(F *fp.Field, v *limbJac, s *ljScratch) {
 	F.Sub(v.y, v.y, yyyy)
 }
 
-// ljAddMixed sets v = v + (ax, ay) in place for a Montgomery-form affine
-// non-identity point, with the same degenerate handling as jacAddMixed:
-// v = O loads the point, v = A doubles, v = −A yields O.
+// ljMixedHR starts the mixed addition v + (ax, ay): it leaves
+// H = x·Z² − X in s.t2 and R = y·Z³ − Y in s.t3, which classify the
+// operands (H = 0, R = 0: equal; H = 0, R ≠ 0: opposite) before
+// ljMixedFinish completes the sum.
 //
 //cryptolint:hotpath
-func ljAddMixed(F *fp.Field, v *limbJac, ax, ay []uint64, s *ljScratch) {
-	if F.IsZero(v.z) {
-		v.setAffine(F, ax, ay)
-		return
-	}
+func ljMixedHR(F *fp.Field, v *limbJac, ax, ay []uint64, s *ljScratch) {
 	zz := s.t1
 	F.Square(zz, v.z)
-	u2 := s.t2
-	F.Mul(u2, ax, zz) // U2 = x·Z²
-	s2 := s.t3
-	F.Mul(s2, ay, zz) // S2 = y·Z³
-	F.Mul(s2, s2, v.z)
+	h := s.t2
+	F.Mul(h, ax, zz) // U2 = x·Z²
+	r := s.t3
+	F.Mul(r, ay, zz) // S2 = y·Z³
+	F.Mul(r, r, v.z)
+	F.Sub(h, h, v.x) // H = U2 − X
+	F.Sub(r, r, v.y) // R = S2 − Y
+}
 
-	h := u2 // H = U2 − X
-	F.Sub(h, u2, v.x)
-	r := s2 // R = S2 − Y
-	F.Sub(r, s2, v.y)
-
-	if F.IsZero(h) {
-		if F.IsZero(r) {
-			ljDouble(F, v, s)
-		} else {
-			F.SetZero(v.z)
-		}
-		return
-	}
-
+// ljMixedFinish completes the mixed addition begun by ljMixedHR. For
+// opposite operands (H = 0, R ≠ 0) it yields Z' = 0, the correct identity;
+// for equal operands its output is meaningless and callers substitute a
+// doubling.
+//
+//cryptolint:hotpath
+func ljMixedFinish(F *fp.Field, v *limbJac, s *ljScratch) {
+	h, r := s.t2, s.t3
 	hh := s.t4
 	F.Square(hh, h)
 	hhh := s.t5
@@ -213,6 +246,28 @@ func ljAddMixed(F *fp.Field, v *limbJac, ax, ay []uint64, s *ljScratch) {
 	F.Sub(v.y, xh2, hhh)
 }
 
+// ljAddMixed sets v = v + (ax, ay) in place for a Montgomery-form affine
+// non-identity point: v = O loads the point, v = A doubles, v = −A yields
+// O. It branches on the operands, so it serves public data only.
+//
+//cryptolint:hotpath
+func ljAddMixed(F *fp.Field, v *limbJac, ax, ay []uint64, s *ljScratch) {
+	if F.IsZero(v.z) {
+		v.setAffine(F, ax, ay)
+		return
+	}
+	ljMixedHR(F, v, ax, ay, s)
+	if F.IsZero(s.t2) {
+		if F.IsZero(s.t3) {
+			ljDouble(F, v, s)
+		} else {
+			F.SetZero(v.z)
+		}
+		return
+	}
+	ljMixedFinish(F, v, s)
+}
+
 // ljAdd sets v = v + u in place for two general Jacobian points (the
 // bucket-sum and window-merge additions, where neither side is affine).
 // Standard Z1Z1/Z2Z2 formulas; v = u degenerates to a doubling, v = −u
@@ -224,9 +279,7 @@ func ljAdd(F *fp.Field, v, u *limbJac, s *ljScratch) {
 		return
 	}
 	if F.IsZero(v.z) {
-		F.Set(v.x, u.x)
-		F.Set(v.y, u.y)
-		F.Set(v.z, u.z)
+		v.set(F, u)
 		return
 	}
 	z1z1 := s.t1
@@ -326,23 +379,54 @@ func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratc
 	return nil
 }
 
-// ljToPoint normalizes v back to the immutable affine representation
-// (one inversion), producing the same canonical coordinates as the big.Int
-// jacToAffine for the same group element.
-func (c *Curve) ljToPoint(F *fp.Field, v *limbJac, s *ljScratch) *Point {
+// ljToPoint normalizes v back to the immutable affine representation with
+// one variable-time inversion; v is clobbered. Public intermediates only:
+// the constant-time ladder normalizes with fp's Fermat inversion instead.
+//
+//cryptolint:vartime (binary-GCD normalization of public results; the constant-time ladder normalizes with fp.Field.Inv)
+func (c *Curve) ljToPoint(v *limbJac, s *ljScratch) *Point {
+	F := c.field
 	if F.IsZero(v.z) {
 		return c.Infinity()
 	}
-	zInv := s.t1
-	if err := F.InvVarTime(zInv, v.z); err != nil {
+	if err := F.InvVarTime(s.t1, v.z); err != nil {
 		return c.Infinity() // unreachable: Z ≠ 0 mod prime p
 	}
+	return c.ljAffine(v, s.t1, s)
+}
+
+// ljAffine returns the affine Point (X·zInv², Y·zInv³) for the inverse zInv
+// of v's Z coordinate (zInv must not alias s.t2 or s.t3).
+func (c *Curve) ljAffine(v *limbJac, zInv []uint64, s *ljScratch) *Point {
+	F := c.field
 	zInv2 := s.t2
 	F.Square(zInv2, zInv)
 	x := s.t3
 	F.Mul(x, v.x, zInv2)
-	y := s.t4
-	F.Mul(y, v.y, zInv2)
-	F.Mul(y, y, zInv)
-	return &Point{curve: c, x: F.ToBig(x), y: F.ToBig(y)}
+	F.Mul(zInv2, zInv2, zInv)
+	F.Mul(v.y, v.y, zInv2)
+	return &Point{curve: c, x: F.ToBig(x), y: F.ToBig(v.y)}
+}
+
+// scalarWords returns |k| as little-endian uint64 words, with one spare
+// zero word on top for the carries of signed-digit recoding.
+func scalarWords(k *big.Int) []uint64 {
+	out := make([]uint64, (k.BitLen()+63)/64+1)
+	fillWords(out, k)
+	return out
+}
+
+// windowDigit extracts b bits of words starting at bit position bit.
+//
+//cryptolint:hotpath
+func windowDigit(words []uint64, bit, b int) uint64 {
+	wi := bit >> 6
+	if wi >= len(words) {
+		return 0
+	}
+	d := words[wi] >> (uint(bit) & 63)
+	if rem := 64 - (bit & 63); rem < b && wi+1 < len(words) {
+		d |= words[wi+1] << uint(rem)
+	}
+	return d & (1<<uint(b) - 1)
 }

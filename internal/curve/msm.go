@@ -69,53 +69,19 @@ func msmCheckArgs(scalars []*big.Int, points []*Point) error {
 	return nil
 }
 
-// scalarWords returns |k| as little-endian uint64 words.
-func scalarWords(k *big.Int) []uint64 {
-	ws := k.Bits()
-	if bits.UintSize == 64 {
-		out := make([]uint64, len(ws))
-		for i, w := range ws {
-			out[i] = uint64(w)
-		}
-		return out
-	}
-	out := make([]uint64, (len(ws)+1)/2)
-	for i, w := range ws { // 32-bit big.Word
-		out[i/2] |= uint64(w) << (32 * uint(i%2))
-	}
-	return out
-}
-
-// windowDigit extracts b bits of words starting at bit position bit.
-//
-//cryptolint:hotpath
-func windowDigit(words []uint64, bit, b int) uint64 {
-	wi := bit >> 6
-	if wi >= len(words) {
-		return 0
-	}
-	d := words[wi] >> (uint(bit) & 63)
-	if rem := 64 - (bit & 63); rem < b && wi+1 < len(words) {
-		d |= words[wi+1] << uint(rem)
-	}
-	return d & (1<<uint(b) - 1)
-}
-
 // MSM computes the multi-scalar sum Σ scalars[i]·points[i] with the
 // bucketed Pippenger kernel. Scalars may be negative, zero or wider than
 // the group order (they are not reduced — the sum matches the sequential
 // ScalarMul semantics for arbitrary curve points, including cofactor-order
 // ones); identity points and zero scalars contribute nothing. The result is
-// bit-identical to MSMSequential. Falls back to the sequential path when
-// the limb backend cannot host the curve prime.
+// bit-identical to MSMSequential.
+//
+//cryptolint:vartime (Pippenger skips zero digits: a batch kernel for public sums such as verifier coefficients and commitment evaluation)
 func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 	if err := msmCheckArgs(scalars, points); err != nil {
 		return nil, err
 	}
-	F, ok := c.limbField()
-	if !ok {
-		return c.MSMSequential(scalars, points)
-	}
+	F := c.field
 	start := time.Now()
 
 	// Collect the contributing terms: |kᵢ| as words, the Montgomery affine
@@ -132,26 +98,17 @@ func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 		if pt.inf || k.Sign() == 0 {
 			continue
 		}
-		abs := k
-		if k.Sign() < 0 {
-			abs = new(big.Int).Neg(k)
-		}
 		x, y, ny := F.NewElt(), F.NewElt(), F.NewElt()
-		if err := F.FromBig(x, pt.x); err != nil {
-			return nil, fmt.Errorf("curve: MSM point %d: %w", i, err)
-		}
-		if err := F.FromBig(y, pt.y); err != nil {
-			return nil, fmt.Errorf("curve: MSM point %d: %w", i, err)
-		}
+		c.loadAffine(pt, x, y)
 		F.Neg(ny, y)
 		if k.Sign() < 0 {
 			y, ny = ny, y
 		}
-		words = append(words, scalarWords(abs))
+		words = append(words, scalarWords(k)) // |k|: the sign is folded into y
 		xs = append(xs, x)
 		ysPos = append(ysPos, y)
 		ysNeg = append(ysNeg, ny)
-		if b := abs.BitLen(); b > maxBits {
+		if b := k.BitLen(); b > maxBits {
 			maxBits = b
 		}
 		n++
@@ -238,9 +195,8 @@ func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 	})
 	for _, err := range windowErrs {
 		if err != nil {
-			// Unreachable in theory (see ljBatchNormalize); keep the kernel
-			// total by deferring to the oracle.
-			return c.MSMSequential(scalars, points)
+			// Unreachable: see ljBatchNormalize.
+			return nil, fmt.Errorf("curve: MSM bucket normalization: %w", err)
 		}
 	}
 
@@ -256,15 +212,15 @@ func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 		}
 		ljAdd(F, &acc, &windowSums[j], s)
 	}
-	out := c.ljToPoint(F, &acc, s)
+	out := c.ljToPoint(&acc, s)
 	recordMSM(n, windows, b, time.Since(start))
 	return out, nil
 }
 
 // MSMSequential is the point-by-point oracle for MSM: Σ scalars[i]·points[i]
 // evaluated with one w-NAF ScalarMul per term and affine additions. It is
-// the differential-test baseline (FuzzMSM) and the fallback when the limb
-// backend is unavailable.
+// the differential-test baseline (FuzzMSM) and the msm.*.sequential
+// benchmark comparator.
 func (c *Curve) MSMSequential(scalars []*big.Int, points []*Point) (*Point, error) {
 	if err := msmCheckArgs(scalars, points); err != nil {
 		return nil, err

@@ -15,76 +15,14 @@
 // random combination) free after the first check.
 package curve
 
-// inSubgroupLimb reports whether q·pt = O using the cached q recoding and
-// the limb Jacobian layer; the second result is false when the limb backend
-// is unavailable and the caller must fall back to the big.Int path.
-// pt must be a non-identity affine point.
-func (c *Curve) inSubgroupLimb(pt *Point) (bool, bool) {
-	F, ok := c.limbField()
-	if !ok {
-		return false, false
-	}
-	digits := c.limb.qNAF
-	m := 1 << (c.limb.qW - 2) // odd multiples {1, 3, …, 2m−1}·P
-	s := newLjScratch(F)
-
-	bx, by := F.NewElt(), F.NewElt()
-	if err := F.FromBig(bx, pt.x); err != nil {
-		return false, false
-	}
-	if err := F.FromBig(by, pt.y); err != nil {
-		return false, false
-	}
-
-	// Odd-multiple table, batch-normalized to affine with one inversion so
-	// the ladder uses only mixed additions (mirrors oddMultiples).
-	twoP := newLimbJac(F)
-	twoP.setAffine(F, bx, by)
-	ljDouble(F, &twoP, s)
-	table := make([]limbJac, m)
-	prefix := make([][]uint64, m+1)
-	table[0] = newLimbJac(F)
-	table[0].setAffine(F, bx, by)
-	prefix[0] = F.NewElt()
-	twoPInf := F.IsZero(twoP.z)
-	for i := 1; i < m; i++ {
-		table[i] = newLimbJac(F)
-		F.Set(table[i].x, table[i-1].x)
-		F.Set(table[i].y, table[i-1].y)
-		F.Set(table[i].z, table[i-1].z)
-		prefix[i] = F.NewElt()
-		if twoPInf {
-			continue // order-2 base: every odd multiple equals P
-		}
-		ljAdd(F, &table[i], &twoP, s)
-	}
-	if err := ljBatchNormalize(F, table, prefix[:m], s); err != nil {
-		return false, false
-	}
-
-	ny := F.NewElt()
-	acc := newLimbJac(F)
-	for i := len(digits) - 1; i >= 0; i-- {
-		ljDouble(F, &acc, s)
-		d := digits[i]
-		if d == 0 {
-			continue
-		}
-		var e *limbJac
-		if d > 0 {
-			e = &table[(d-1)/2]
-		} else {
-			e = &table[(-d-1)/2]
-		}
-		if F.IsZero(e.z) {
-			continue // odd multiple collapsed to O (tiny-order input): adds nothing
-		}
-		if d > 0 {
-			ljAddMixed(F, &acc, e.x, e.y, s)
-		} else {
-			F.Neg(ny, e.y)
-			ljAddMixed(F, &acc, e.x, ny, s)
-		}
-	}
-	return F.IsZero(acc.z), true
+// inSubgroup reports whether q·pt = O using the cached q recoding. pt must
+// be a non-identity affine point.
+func (c *Curve) inSubgroup(pt *Point) bool {
+	F := c.field
+	a := newLimbArena(F, 2+3+wnafArenaElts)
+	bx, by := a.elt(), a.elt()
+	c.loadAffine(pt, bx, by)
+	acc := a.jac()
+	c.wnafMul(&a, &acc, bx, by, c.qNAF, c.qW)
+	return F.IsZero(acc.z)
 }

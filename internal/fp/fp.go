@@ -364,22 +364,35 @@ func (f *Field) ToBig(x []uint64) *big.Int {
 	return limbsToBig(s)
 }
 
+// expWindow is the fixed window width of Exp: 2^4 − 2 table
+// multiplications buy one multiplication per four exponent bits instead of
+// one per set bit.
+const expWindow = 4
+
 // Exp sets z = x^e mod p (Montgomery in, Montgomery out) by MSB-first
-// square-and-multiply. The bit pattern of e is treated as public — the
-// only in-repo exponent is the modulus-derived p−2 of Inv.
+// fixed-window exponentiation. The bit pattern of e is treated as public —
+// the in-repo exponents are the modulus-derived p−2 of Inv and the
+// (p+1)/4 square-root exponent — so zero windows are skipped.
 //
 //cryptolint:hotpath
 func (f *Field) Exp(z, x []uint64, e *big.Int) {
 	n := f.n
-	var rb, bb [MaxLimbs]uint64
+	var tb [1 << expWindow][MaxLimbs]uint64 // tb[d] = x^d
+	copy(tb[1][:n], x)
+	for d := 2; d < len(tb); d++ {
+		f.Mul(tb[d][:n], tb[d-1][:n], x)
+	}
+	var rb [MaxLimbs]uint64
 	r := rb[:n]
-	base := bb[:n]
 	f.SetOne(r)
-	copy(base, x)
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		f.Square(r, r)
-		if e.Bit(i) == 1 {
-			f.Mul(r, r, base)
+	for i := (e.BitLen()+expWindow-1)/expWindow*expWindow - expWindow; i >= 0; i -= expWindow {
+		d := 0
+		for b := expWindow - 1; b >= 0; b-- {
+			f.Square(r, r)
+			d = d<<1 | int(e.Bit(i+b))
+		}
+		if d != 0 {
+			f.Mul(r, r, tb[d][:n])
 		}
 	}
 	copy(z, r)

@@ -260,3 +260,24 @@ func TestQuickBilinearity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// maxAllocsGeneratorMul is the measured allocation count of the fixed-base
+// comb at paper parameters: the scalar words, one limb slab, the final
+// variable-time inversion (math/big's GCD) and the affine result (two
+// coordinates and the Point).
+const maxAllocsGeneratorMul = 25
+
+func TestGeneratorMulAllocs(t *testing.T) {
+	pp, err := Paper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := new(big.Int).Sub(pp.Q(), big.NewInt(977))
+	want := pp.Generator().ScalarMul(k)
+	if got := pp.GeneratorMul(k); !got.Equal(want) {
+		t.Fatalf("GeneratorMul = %v, want %v", got, want)
+	}
+	if got := testing.AllocsPerRun(20, func() { pp.GeneratorMul(k) }); got > maxAllocsGeneratorMul {
+		t.Errorf("GeneratorMul: %.0f allocs/op, ceiling %d", got, maxAllocsGeneratorMul)
+	}
+}

@@ -534,6 +534,8 @@ func (c *Client) GDHHalfSign(id string, h *curve.Point) (*curve.Point, error) {
 
 // SignGDH runs the user side of the full mediated-GDH signing protocol over
 // the network.
+// The message is hashed once: the same h(M) goes to the SEM and into the
+// user's check of the combined signature.
 func (c *Client) SignGDH(key *core.GDHUserKey, msg []byte) (*curve.Point, error) {
 	h, err := bls.HashMessage(key.Public.Pairing, msg)
 	if err != nil {
@@ -543,7 +545,7 @@ func (c *Client) SignGDH(key *core.GDHUserKey, msg []byte) (*curve.Point, error)
 	if err != nil {
 		return nil, err
 	}
-	return core.UserSign(key, msg, semHalf)
+	return core.UserSignHash(key, h, semHalf)
 }
 
 // RSAHalfDecrypt requests m_sem = c^{d_sem} mod n. The public key carries

@@ -420,6 +420,8 @@ func (sc *ShardedClient) DecryptIBE(pub *bf.PublicParams, key *core.UserKeyHalf,
 }
 
 // SignGDH runs the user side of mediated-GDH signing against the fleet.
+// The message is hashed once: the same h(M) goes to the SEM and into the
+// user's check of the combined signature.
 func (sc *ShardedClient) SignGDH(key *core.GDHUserKey, msg []byte) (*curve.Point, error) {
 	h, err := bls.HashMessage(key.Public.Pairing, msg)
 	if err != nil {
@@ -429,7 +431,7 @@ func (sc *ShardedClient) SignGDH(key *core.GDHUserKey, msg []byte) (*curve.Point
 	if err != nil {
 		return nil, err
 	}
-	return core.UserSign(key, msg, semHalf)
+	return core.UserSignHash(key, h, semHalf)
 }
 
 // Revoke disables an identity fleet-wide. The mutation lands
@@ -496,7 +498,7 @@ func (sc *ShardedClient) leaderMutate(op Op, id string, payload []byte) error {
 	leader := sc.ring.Leader()
 	_, err := sc.pools[leader].single(op, id, payload) //cryptolint:public (leader routing on shard addresses; deployment metadata)
 	if err != nil && errors.Is(err, repl.ErrNotLeader) {
-		if actual := sc.probeLeader(leader); actual != "" {
+		if actual := sc.probeLeader(leader); actual != "" { //cryptolint:public (the probed leader's shard name; deployment metadata)
 			if _, perr := sc.pools[actual].single(op, id, payload); perr == nil { //cryptolint:public (probed-leader routing on shard addresses; deployment metadata)
 				leader, err = actual, nil
 			} else {

@@ -208,7 +208,7 @@ func ParseReplStatus(data []byte) (ReplStatus, error) {
 		LastSeq: binary.BigEndian.Uint64(data[8:16]),
 	}
 	if len(data) == replStatusLen {
-		st.Leader = data[16] == 1
+		st.Leader = data[16] == 1 //cryptolint:public (the status frame's leader flag byte)
 	}
 	return st, nil
 }
